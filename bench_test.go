@@ -390,11 +390,16 @@ func BenchmarkE9_DBQueries(b *testing.B) {
 	}
 	region, _ := spatial.Rect(100, 100, 140, 140)
 	rloc := spatial.InField(region)
+	query := func(b *testing.B, spec db.QuerySpec) {
+		for i := 0; i < b.N; i++ {
+			if _, err := store.QueryST(spec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 
 	b.Run("time-indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			store.QueryTime("E3", 500000, 510000)
-		}
+		query(b, db.QuerySpec{Event: "E3", Window: &db.TimeWindow{From: 500000, To: 510000}})
 	})
 	b.Run("time-scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -402,9 +407,7 @@ func BenchmarkE9_DBQueries(b *testing.B) {
 		}
 	})
 	b.Run("region-indexed", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			store.QueryRegion(rloc)
-		}
+		query(b, db.QuerySpec{Region: &rloc})
 	})
 	b.Run("region-scan", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -19,8 +19,8 @@
 // With -http the daemon additionally keeps an in-process database
 // server (the paper's Section-3 logging service) and serves the
 // spatio-temporal query API from it, concurrently with ingest:
-// GET /query (event, region, time window, pagination),
-// GET /lineage/{entity}, GET /stats and GET /healthz. The
+// GET /v1/query (event, region, time window, pagination),
+// GET /v1/lineage/{entity}, GET /v1/stats and GET /v1/healthz. The
 // -db-max-instances / -db-max-age flags bound the store's memory.
 //
 // With -tcp the daemon additionally listens for the binary wire

@@ -243,7 +243,7 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 	var st statsResponse
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		if code := httpGetJSON(t, base+"/stats", &st); code != http.StatusOK {
+		if code := httpGetJSON(t, base+"/v1/stats", &st); code != http.StatusOK {
 			t.Fatalf("/stats = %d", code)
 		}
 		if st.Store.Instances >= 4 {
@@ -264,13 +264,13 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 		t.Errorf("stats carry no probed-bindings counter: %+v", st.Detect)
 	}
 
-	if code := httpGetJSON(t, base+"/healthz", nil); code != http.StatusOK {
+	if code := httpGetJSON(t, base+"/v1/healthz", nil); code != http.StatusOK {
 		t.Errorf("/healthz = %d", code)
 	}
 
 	// Combined event×time query: hot crossings at ticks 30, 40, 50.
 	var qr queryResponse
-	if code := httpGetJSON(t, base+"/query?event=E.hot&from=0&to=45", &qr); code != http.StatusOK {
+	if code := httpGetJSON(t, base+"/v1/query?event=E.hot&from=0&to=45", &qr); code != http.StatusOK {
 		t.Fatalf("/query = %d", code)
 	}
 	if qr.Count != 2 || qr.Index != "time" {
@@ -278,7 +278,7 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 	}
 
 	// Region query: only E.obsHigh sits at (1,1).
-	if code := httpGetJSON(t, base+"/query?x1=0.5&y1=0.5&x2=2&y2=2", &qr); code != http.StatusOK {
+	if code := httpGetJSON(t, base+"/v1/query?x1=0.5&y1=0.5&x2=2&y2=2", &qr); code != http.StatusOK {
 		t.Fatalf("region /query = %d", code)
 	}
 	if qr.Count != 1 || qr.Instances[0].Event != "E.obsHigh" {
@@ -287,11 +287,11 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 
 	// Pagination.
 	qr = queryResponse{}
-	if httpGetJSON(t, base+"/query?event=E.hot&limit=2", &qr); qr.Count != 2 || qr.NextCursor == "" {
+	if httpGetJSON(t, base+"/v1/query?event=E.hot&limit=2", &qr); qr.Count != 2 || qr.NextCursor == "" {
 		t.Fatalf("page 1 = %+v", qr)
 	}
 	page2 := queryResponse{}
-	if httpGetJSON(t, base+"/query?event=E.hot&limit=2&cursor="+qr.NextCursor, &page2); page2.Count != 1 || page2.NextCursor != "" {
+	if httpGetJSON(t, base+"/v1/query?event=E.hot&limit=2&cursor="+qr.NextCursor, &page2); page2.Count != 1 || page2.NextCursor != "" {
 		t.Errorf("page 2 = %+v", page2)
 	}
 	qr = page2
@@ -299,7 +299,7 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 	// Lineage of an emitted instance reaches its (unlogged) input leaf.
 	var lr lineageResponse
 	id := url.PathEscape(qr.Instances[0].EntityID())
-	if code := httpGetJSON(t, base+"/lineage/"+id, &lr); code != http.StatusOK {
+	if code := httpGetJSON(t, base+"/v1/lineage/"+id, &lr); code != http.StatusOK {
 		t.Fatalf("/lineage = %d", code)
 	}
 	if len(lr.Chain) != 2 {
@@ -308,17 +308,34 @@ func TestDaemonHTTPQueryAPI(t *testing.T) {
 
 	// Error paths.
 	var errBody map[string]string
-	if code := httpGetJSON(t, base+"/query?x1=3", &errBody); code != http.StatusBadRequest {
+	if code := httpGetJSON(t, base+"/v1/query?x1=3", &errBody); code != http.StatusBadRequest {
 		t.Errorf("partial region = %d (%v)", code, errBody)
 	}
-	if code := httpGetJSON(t, base+"/query?cursor=bogus", &errBody); code != http.StatusBadRequest {
+	if code := httpGetJSON(t, base+"/v1/query?cursor=bogus", &errBody); code != http.StatusBadRequest {
 		t.Errorf("bad cursor = %d", code)
 	}
-	if code := httpGetJSON(t, base+"/query?limit=nope", &errBody); code != http.StatusBadRequest {
+	if code := httpGetJSON(t, base+"/v1/query?limit=nope", &errBody); code != http.StatusBadRequest {
 		t.Errorf("bad limit = %d", code)
 	}
-	if code := httpGetJSON(t, base+"/lineage/"+url.PathEscape("E(none,none,0)"), &errBody); code != http.StatusNotFound {
+	if code := httpGetJSON(t, base+"/v1/lineage/"+url.PathEscape("E(none,none,0)"), &errBody); code != http.StatusNotFound {
 		t.Errorf("missing lineage = %d", code)
+	}
+	// Non-finite corners parse as floats but are no region.
+	for _, q := range []string{"x1=0&y1=0&x2=Inf&y2=5", "x1=NaN&y1=0&x2=5&y2=5", "x1=-Inf&y1=0&x2=5&y2=5"} {
+		errBody = nil
+		if code := httpGetJSON(t, base+"/v1/query?"+q, &errBody); code != http.StatusBadRequest || errBody["code"] != "bad_request" {
+			t.Errorf("non-finite region %s = %d %v", q, code, errBody)
+		}
+	}
+
+	// Only the versioned API is served.
+	for _, path := range []string{"/query", "/stats"} {
+		if code := httpGetJSON(t, base+path, nil); code != http.StatusNotFound {
+			t.Errorf("unversioned %s = %d, want 404", path, code)
+		}
+		if code := httpGetJSON(t, base+"/v1"+path, nil); code != http.StatusOK {
+			t.Errorf("/v1%s = %d, want 200", path, code)
+		}
 	}
 
 	pw.Close()
@@ -358,7 +375,7 @@ func TestDaemonHTTPRetention(t *testing.T) {
 	var st statsResponse
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		httpGetJSON(t, base+"/stats", &st)
+		httpGetJSON(t, base+"/v1/stats", &st)
 		if st.Store.Evicted >= 8 {
 			break
 		}
@@ -371,7 +388,7 @@ func TestDaemonHTTPRetention(t *testing.T) {
 		t.Errorf("store holds %d instances, want 2", st.Store.Instances)
 	}
 	var qr queryResponse
-	httpGetJSON(t, base+"/query?event=E.hot", &qr)
+	httpGetJSON(t, base+"/v1/query?event=E.hot", &qr)
 	if qr.Count != 2 {
 		t.Errorf("query over bounded store = %d hits, want 2", qr.Count)
 	}

@@ -4,7 +4,7 @@
 // from two wings of a building into a store-backed detection engine;
 // region-scoped subscriptions — the paper's spatio-temporal predicates
 // as standing queries — receive every matching alert the moment it is
-// detected, instead of polling /query.
+// detected, instead of polling /v1/query.
 //
 // Three subscribers show the subsystem's shapes:
 //

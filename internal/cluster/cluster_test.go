@@ -185,6 +185,35 @@ func TestStampIndex(t *testing.T) {
 	}
 }
 
+// FuzzParseCursor: the composite cursor arrives from HTTP clients, so
+// parsing must never panic, and a cursor it accepts must be exactly the
+// one encodeCursor mints for the parsed states.
+func FuzzParseCursor(f *testing.F) {
+	f.Add(encodeCursor([]partCursor{{node: 0, cursor: "15"}, {node: 2, cursor: ""}, {node: 1, cursor: "7"}}), uint8(2))
+	for _, s := range []string{"", "v9~0:0:", "c1~x:0:", "c1~0:9:", "c1~0:0", "c1~9:0:", "c1~0:0:5", "c1~0:0:1,0:1:2,2:0:3", "c1~0:1:a:b,1:0:"} {
+		f.Add(s, uint8(2))
+	}
+	f.Fuzz(func(t *testing.T, s string, n uint8) {
+		partitions := int(n%8) + 1
+		states, err := parseCursor(s, partitions)
+		if err != nil {
+			if !errors.Is(err, ErrBadCursor) {
+				t.Fatalf("parseCursor(%q, %d) = %v, want ErrBadCursor", s, partitions, err)
+			}
+			return
+		}
+		if len(states) != partitions {
+			t.Fatalf("parseCursor(%q, %d) returned %d states", s, partitions, len(states))
+		}
+		if s == "" {
+			return
+		}
+		if re := encodeCursor(states); re != s {
+			t.Fatalf("parseCursor accepted %q, which re-encodes as %q", s, re)
+		}
+	})
+}
+
 func TestCursorRoundTrip(t *testing.T) {
 	states := []partCursor{{node: 0, cursor: "15"}, {node: 2, cursor: ""}, {node: 1, cursor: "7"}}
 	enc := encodeCursor(states)
@@ -200,7 +229,15 @@ func TestCursorRoundTrip(t *testing.T) {
 	if fresh, err := parseCursor("", 3); err != nil || fresh[0].node != -1 {
 		t.Fatalf("empty cursor: %+v, %v", fresh, err)
 	}
-	for _, bad := range []string{"v9~0:0:", "c1~x:0:", "c1~0:9:", "c1~0:0", "c1~9:0:"} {
+	for _, bad := range []string{
+		"v9~0:0:", "c1~x:0:", "c1~0:9:", "c1~0:0", "c1~9:0:",
+		"c1~0:0:5",                   // missing partitions
+		"c1~0:0:1,0:1:2,2:0:3",       // repeated partition
+		"c1~1:0:,0:0:,2:0:",          // reordered partitions
+		"c1~00:0:,1:0:,2:0:",         // non-canonical partition
+		"c1~0:+1:,1:0:,2:0:",         // non-canonical node
+		"c1~0:0:15,1:2:,2:1:7,2:1:7", // trailing duplicate
+	} {
 		if _, err := parseCursor(bad, 3); !errors.Is(err, ErrBadCursor) {
 			t.Fatalf("parseCursor(%q) = %v, want ErrBadCursor", bad, err)
 		}

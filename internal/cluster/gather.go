@@ -170,6 +170,13 @@ func parseCursor(s string, partitions int) ([]partCursor, error) {
 		}
 		states[p] = partCursor{node: node, cursor: fields[2]}
 	}
+	// Only encodeCursor mints cursors, and it writes every partition
+	// once, in order, with canonical numbers. Anything else (a missing,
+	// repeated or reordered partition, "01" or "+1") is forged or from
+	// another cluster shape.
+	if encodeCursor(states) != s {
+		return nil, fmt.Errorf("%w: non-canonical %q", ErrBadCursor, s)
+	}
 	return states, nil
 }
 

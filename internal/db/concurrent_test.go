@@ -97,8 +97,8 @@ func TestQuerySTLockedMatchesQueryST(t *testing.T) {
 					q.Limit = 1 + rng.Intn(20)
 				}
 				for page := 0; page < 50; page++ {
-					free, errFree := s.QueryST(q.Spec())
-					locked, errLocked := s.QuerySTLocked(q.Spec())
+					free, errFree := s.QueryST(q)
+					locked, errLocked := s.QuerySTLocked(q)
 					if (errFree == nil) != (errLocked == nil) {
 						t.Fatalf("trial %d: error mismatch: %v vs %v", trial, errFree, errLocked)
 					}
@@ -147,8 +147,12 @@ func TestHotEventChurnAmortized(t *testing.T) {
 	if st.Evicted != total-1000 {
 		t.Fatalf("Evicted = %d, want %d", st.Evicted, total-1000)
 	}
-	if got := s.QueryTime("E.hot", 0, 100); len(got) != 1000 {
-		t.Fatalf("QueryTime after churn = %d, want 1000", len(got))
+	res, err := s.QueryST(QuerySpec{Event: "E.hot", Window: &TimeWindow{From: 0, To: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Instances; len(got) != 1000 {
+		t.Fatalf("time query after churn = %d, want 1000", len(got))
 	}
 	checkStoreInvariants(t, s)
 }
@@ -184,7 +188,7 @@ func TestQuerySTRegionFallthroughReleasesLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	region := spatial.InField(f)
-	res, err := s.QueryST(Query{Region: &region}.Spec())
+	res, err := s.QueryST(QuerySpec{Region: &region})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +221,7 @@ func TestQuerySTConsistentUnderIngest(t *testing.T) {
 		in.Gen = timemodel.Tick(i)
 		ins = append(ins, in)
 	}
-	queries := make([]Query, 16)
+	queries := make([]QuerySpec, 16)
 	qrng := rand.New(rand.NewSource(31))
 	for i := range queries {
 		queries[i] = randomQuery(t, qrng)
@@ -225,7 +229,7 @@ func TestQuerySTConsistentUnderIngest(t *testing.T) {
 
 	done := make(chan struct{})
 	type observed struct {
-		q   Query
+		q   QuerySpec
 		res Result
 	}
 	var results []observed
@@ -235,7 +239,7 @@ func TestQuerySTConsistentUnderIngest(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < len(queries)*40; i++ {
 			q := queries[i%len(queries)]
-			res, err := s.QueryST(q.Spec())
+			res, err := s.QueryST(q)
 			if err != nil {
 				t.Errorf("mid-ingest QueryST: %v", err)
 				return
@@ -266,7 +270,7 @@ func TestQuerySTConsistentUnderIngest(t *testing.T) {
 	wg.Wait()
 
 	for i, ob := range results {
-		want, err := s.QueryST(ob.q.Spec())
+		want, err := s.QueryST(ob.q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,8 +329,8 @@ func TestStoreRaceStress(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			qrng := rand.New(rand.NewSource(int64(41 + r)))
-			q := Query{Event: "E1", Region: &region, HasTime: true, From: 0, To: 800, Limit: 64}
-			replay := Query{Limit: 128, Strict: true}
+			q := QuerySpec{Event: "E1", Region: &region, Window: &TimeWindow{From: 0, To: 800}, Limit: 64}
+			replay := QuerySpec{Limit: 128, Strict: true}
 			for {
 				select {
 				case <-done:
@@ -335,7 +339,7 @@ func TestStoreRaceStress(t *testing.T) {
 				}
 				switch qrng.Intn(6) {
 				case 0:
-					res, err := s.QueryST(q.Spec())
+					res, err := s.QueryST(q)
 					if err != nil {
 						t.Errorf("QueryST: %v", err)
 						return
@@ -349,7 +353,7 @@ func TestStoreRaceStress(t *testing.T) {
 				case 1:
 					// SSE-style strict catch-up: a stale cursor means the
 					// retention window passed us — resync from scratch.
-					res, err := s.QueryST(replay.Spec())
+					res, err := s.QueryST(replay)
 					if errors.Is(err, ErrStaleCursor) {
 						replay.Cursor = ""
 						continue
@@ -364,12 +368,15 @@ func TestStoreRaceStress(t *testing.T) {
 						replay.Cursor = ""
 					}
 				case 2:
-					if _, err := s.QuerySTLocked(q.Spec()); err != nil {
+					if _, err := s.QuerySTLocked(q); err != nil {
 						t.Errorf("QuerySTLocked: %v", err)
 						return
 					}
 				case 3:
-					_ = s.QueryTime("E2", 100, 400)
+					if _, err := s.QueryST(QuerySpec{Event: "E2", Window: &TimeWindow{From: 100, To: 400}}); err != nil {
+						t.Errorf("time QueryST: %v", err)
+						return
+					}
 					_ = s.ScanRegion(region)
 				case 4:
 					_ = s.All()

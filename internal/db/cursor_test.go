@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"github.com/stcps/stcps/internal/event"
+	"github.com/stcps/stcps/internal/segment"
 	"github.com/stcps/stcps/internal/spatial"
 	"github.com/stcps/stcps/internal/timemodel"
 )
@@ -69,14 +70,14 @@ func TestStrictCursorEvicted(t *testing.T) {
 	}
 	// Live seqs are 15..19; everything below was evicted.
 	for _, cur := range []uint64{0, 7, 13} {
-		_, err := s.QueryST(Query{Event: "E", Cursor: strconv.FormatUint(cur, 10), Strict: true}.Spec())
+		_, err := s.QueryST(QuerySpec{Event: "E", Cursor: strconv.FormatUint(cur, 10), Strict: true})
 		if !errors.Is(err, ErrStaleCursor) {
 			t.Fatalf("strict cursor %d = %v, want ErrStaleCursor", cur, err)
 		}
 	}
 	// The eviction frontier (cursor = oldest live seq - 1) is a clean
 	// resume: nothing between the cursor and the live head was lost.
-	res, err := s.QueryST(Query{Event: "E", Cursor: "14", Strict: true}.Spec())
+	res, err := s.QueryST(QuerySpec{Event: "E", Cursor: "14", Strict: true})
 	if err != nil {
 		t.Fatalf("frontier cursor: %v", err)
 	}
@@ -84,22 +85,22 @@ func TestStrictCursorEvicted(t *testing.T) {
 		t.Fatalf("frontier resume got %d instances from seq %v", len(res.Instances), res.Seqs)
 	}
 	// A cursor inside (or past) the live range is clean too.
-	res, err = s.QueryST(Query{Event: "E", Cursor: "17", Strict: true}.Spec())
+	res, err = s.QueryST(QuerySpec{Event: "E", Cursor: "17", Strict: true})
 	if err != nil || len(res.Instances) != 2 {
 		t.Fatalf("live cursor = (%d instances, %v), want 2", len(res.Instances), err)
 	}
-	res, err = s.QueryST(Query{Event: "E", Cursor: "19", Strict: true}.Spec())
+	res, err = s.QueryST(QuerySpec{Event: "E", Cursor: "19", Strict: true})
 	if err != nil || len(res.Instances) != 0 {
 		t.Fatalf("head cursor = (%d instances, %v), want 0", len(res.Instances), err)
 	}
 	// Without Strict the historical behavior holds: evicted instances
 	// simply stop appearing.
-	res, err = s.QueryST(Query{Event: "E", Cursor: "0"}.Spec())
+	res, err = s.QueryST(QuerySpec{Event: "E", Cursor: "0"})
 	if err != nil || len(res.Instances) != 5 {
 		t.Fatalf("lenient cursor = (%d instances, %v), want 5", len(res.Instances), err)
 	}
 	// Strict without a cursor is a no-op, even over evicted history.
-	if _, err := s.QueryST(Query{Event: "E", Strict: true}.Spec()); err != nil {
+	if _, err := s.QueryST(QuerySpec{Event: "E", Strict: true}); err != nil {
 		t.Fatalf("strict without cursor: %v", err)
 	}
 }
@@ -117,10 +118,10 @@ func TestStrictCursorFullyEvictedStore(t *testing.T) {
 		}
 	}
 	s.SetRetention(Retention{MaxInstances: 1}) // evicts 0..6 immediately
-	if _, err := s.QueryST(Query{Event: "E", Cursor: "3", Strict: true}.Spec()); !errors.Is(err, ErrStaleCursor) {
+	if _, err := s.QueryST(QuerySpec{Event: "E", Cursor: "3", Strict: true}); !errors.Is(err, ErrStaleCursor) {
 		t.Fatalf("cursor into evicted prefix = %v, want ErrStaleCursor", err)
 	}
-	if _, err := s.QueryST(Query{Event: "E", Cursor: "6", Strict: true}.Spec()); err != nil {
+	if _, err := s.QueryST(QuerySpec{Event: "E", Cursor: "6", Strict: true}); err != nil {
 		t.Fatalf("frontier after mass eviction: %v", err)
 	}
 }
@@ -135,7 +136,7 @@ func TestQuerySTSeqsParallelInstances(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	res, err := s.QueryST(Query{Event: "E", Limit: 4}.Spec())
+	res, err := s.QueryST(QuerySpec{Event: "E", Limit: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,4 +155,50 @@ func TestQuerySTSeqsParallelInstances(t *testing.T) {
 	if res.NextCursor != strconv.FormatUint(res.Seqs[3], 10) {
 		t.Fatalf("NextCursor %q != last seq %d", res.NextCursor, res.Seqs[3])
 	}
+}
+
+// FuzzQuerySTCursor: a cursor is client input (HTTP, SSE Last-Event-ID),
+// so QueryST must never panic on one. An unparseable cursor fails with
+// ErrBadCursor; a well-formed one pages strictly past itself. The store
+// spans GC'd, spilled, evicted-unspilled and hot history, so the cursor
+// reaches every tier's path.
+func FuzzQuerySTCursor(f *testing.F) {
+	s := tieredStore(f, tieredFeed(10_000), Retention{MaxInstances: 512}, segment.Retention{MaxSegments: 1}, false)
+	if st := s.Stats(); st.Cold == nil || st.Cold.GCSegments == 0 || st.SpilledSeq >= st.Evicted {
+		f.Fatalf("store does not span every tier: %+v", st)
+	}
+	for _, c := range []string{
+		"", "0", "14", "5000", "9990", "not-a-seq", "bogus", "-1", "+5", " 7", "1e3", "0x10",
+		"9223372036854775808", "18446744073709551615", "18446744073709551616",
+	} {
+		f.Add(c, false, uint8(0), uint8(5), false)
+	}
+	f.Fuzz(func(t *testing.T, cursor string, strict bool, tier, limit uint8, byEvent bool) {
+		spec := QuerySpec{Cursor: cursor, Strict: strict, Tier: Tier(tier % 3), Limit: int(limit%64) + 1}
+		if byEvent {
+			spec.Event = "E1"
+		}
+		res, err := s.QueryST(spec)
+		after, perr := strconv.ParseUint(cursor, 10, 64)
+		if cursor != "" && perr != nil {
+			if !errors.Is(err, ErrBadCursor) {
+				t.Fatalf("malformed cursor %q: err = %v, want ErrBadCursor", cursor, err)
+			}
+			return
+		}
+		if err != nil {
+			if strict && errors.Is(err, ErrStaleCursor) {
+				return
+			}
+			t.Fatalf("cursor %q (%+v): %v", cursor, spec, err)
+		}
+		if len(res.Seqs) != len(res.Instances) || len(res.Seqs) > spec.Limit {
+			t.Fatalf("cursor %q: %d seqs, %d instances, limit %d", cursor, len(res.Seqs), len(res.Instances), spec.Limit)
+		}
+		for _, seq := range res.Seqs {
+			if cursor != "" && seq <= after {
+				t.Fatalf("cursor %q returned seq %d", cursor, seq)
+			}
+		}
+	})
 }

@@ -101,47 +101,6 @@ type QuerySpec struct {
 	Tier Tier
 }
 
-// Query is the pre-tier query form, kept so existing callers build the
-// same retrievals they always did (including hot-only semantics).
-//
-// Deprecated: build a QuerySpec (or call Spec) and use QueryST.
-type Query struct {
-	// Event filters to one event id; empty matches every event.
-	Event string
-	// Region, when non-nil, keeps instances whose estimated occurrence
-	// location is Joint with it.
-	Region *spatial.Location
-	// HasTime gates the temporal predicate: the estimated occurrence
-	// must intersect [From, To].
-	HasTime bool
-	// From and To bound the occurrence window (inclusive) when HasTime.
-	From, To timemodel.Tick
-	// Limit caps the page size (0 = unlimited).
-	Limit int
-	// Cursor resumes after a previous Result's NextCursor.
-	Cursor string
-	// Strict makes eviction gaps visible as ErrStaleCursor.
-	Strict bool
-}
-
-// Spec converts to the consolidated query form. The legacy form
-// predates the cold tier, so the conversion pins TierHot — a migrated
-// caller sees exactly the pages it always saw.
-func (q Query) Spec() QuerySpec {
-	spec := QuerySpec{
-		Event:  q.Event,
-		Region: q.Region,
-		Limit:  q.Limit,
-		Cursor: q.Cursor,
-		Strict: q.Strict,
-		Tier:   TierHot,
-	}
-	if q.HasTime {
-		spec.Window = &TimeWindow{From: q.From, To: q.To}
-	}
-	return spec
-}
-
 // ColdScan reports the cold-tier work behind one Result.
 type ColdScan struct {
 	// Segments is the number of segments pinned by the scan.
@@ -212,13 +171,6 @@ func (s *Store) QueryST(spec QuerySpec) (Result, error) {
 // against.
 func (s *Store) QuerySTLocked(spec QuerySpec) (Result, error) {
 	return s.queryST(spec, true)
-}
-
-// QuerySTLegacy runs a pre-tier Query.
-//
-// Deprecated: build a QuerySpec and call QueryST.
-func (s *Store) QuerySTLegacy(q Query) (Result, error) {
-	return s.QueryST(q.Spec())
 }
 
 // page accumulates one result page across tiers in ascending sequence
@@ -468,9 +420,8 @@ func (s *Store) queryWarmHot(q QuerySpec, v *view, minSeq uint64, p *page, res *
 	return nil
 }
 
-// queryHot is the hot-window path (the pre-tier read plane): exactly
-// the legacy semantics, including ErrStaleCursor for any cursor below
-// the eviction base.
+// queryHot is the hot-window path (the pre-tier read plane), including
+// ErrStaleCursor for any cursor below the eviction base.
 func (s *Store) queryHot(q QuerySpec, v *view, minSeq uint64, hasAfter bool, after uint64, p *page, res *Result, monolithic bool) error {
 	locked := monolithic || q.Event != "" || q.Region != nil
 	if locked && !monolithic {

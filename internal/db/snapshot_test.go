@@ -36,7 +36,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("loaded %d instances, want 2", dst.Len())
 	}
 	// Queries behave identically after reload.
-	got := dst.QueryTime("CP.e", 0, 100)
+	res, err := dst.QueryST(QuerySpec{Event: "CP.e", Window: &TimeWindow{From: 0, To: 100}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := res.Instances
 	if len(got) != 1 || !got[0].Occ.Equal(timemodel.MustBetween(5, 9)) {
 		t.Fatalf("query after load = %+v", got)
 	}
@@ -50,7 +54,12 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// Spatial index rebuilt.
 	region, _ := spatial.Rect(0.5, 0.5, 1.5, 1.5)
-	if hits := dst.QueryRegion(spatial.InField(region)); len(hits) != 1 {
+	regionLoc := spatial.InField(region)
+	res, err = dst.QueryST(QuerySpec{Region: &regionLoc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits := res.Instances; len(hits) != 1 {
 		t.Fatalf("region query after load = %d hits", len(hits))
 	}
 }

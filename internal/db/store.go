@@ -620,37 +620,6 @@ func (s *Store) Get(entityID string) (event.Instance, error) {
 	return *s.at(seq), nil
 }
 
-// QueryTime returns instances of eventID whose estimated occurrence
-// intersects [from, to], ordered by occurrence start. An empty eventID
-// matches every event (via scan). The index probe is a short critical
-// section; materialization runs lock-free against the published view.
-func (s *Store) QueryTime(eventID string, from, to timemodel.Tick) []event.Instance {
-	if to < from {
-		return nil
-	}
-	if eventID == "" {
-		v := s.loadView()
-		return scanTimeView(v, "", from, to)
-	}
-	s.mu.RLock()
-	v := s.loadView()
-	lst, lo, hi := s.timeWindowLocked(eventID, from, to)
-	cand := make([]uint64, 0, hi-lo)
-	for _, seq := range lst[lo:hi] {
-		if seq >= v.base {
-			cand = append(cand, seq)
-		}
-	}
-	s.mu.RUnlock()
-	var out []event.Instance
-	for _, seq := range cand {
-		if v.at(seq).Occ.End() >= from {
-			out = append(out, *v.at(seq))
-		}
-	}
-	return out
-}
-
 // timeWindowLocked returns the slice [lo, hi) of the event's
 // start-ordered index that can intersect [from, to]: starts <= to, and
 // starts >= from minus the event's longest logged duration (an interval
@@ -681,17 +650,16 @@ func (s *Store) timeWindowLocked(eventID string, from, to timemodel.Tick) (lst [
 	return lst, lo, hi
 }
 
-// ScanTime is the unindexed equivalent of QueryTime, retained for the E9
-// index-versus-scan experiment and as a testing oracle. It scans the
-// published view without locking.
+// ScanTime returns instances of eventID (every event when empty) whose
+// estimated occurrence intersects [from, to], ordered by occurrence
+// start. It is the unindexed reference for QueryST's time-index path,
+// retained for the E9 index-versus-scan experiment and as a testing
+// oracle. It scans the published view without locking.
 func (s *Store) ScanTime(eventID string, from, to timemodel.Tick) []event.Instance {
 	if to < from {
 		return nil
 	}
-	return scanTimeView(s.loadView(), eventID, from, to)
-}
-
-func scanTimeView(v *view, eventID string, from, to timemodel.Tick) []event.Instance {
+	v := s.loadView()
 	var out []event.Instance
 	for seq := v.base; seq < v.frontier; seq++ {
 		in := v.at(seq)
@@ -708,30 +676,10 @@ func scanTimeView(v *view, eventID string, from, to timemodel.Tick) []event.Inst
 	return out
 }
 
-// QueryRegion returns instances whose estimated occurrence location is
-// Joint with the region, in arrival order. The grid probe is a short
-// critical section; materialization runs lock-free.
-func (s *Store) QueryRegion(region spatial.Location) []event.Instance {
-	s.mu.RLock()
-	v := s.loadView()
-	ids := s.grid.QueryRegion(region)
-	seqs := make([]uint64, 0, len(ids))
-	for _, id := range ids {
-		if seq, ok := s.byEntity[id]; ok {
-			seqs = append(seqs, seq)
-		}
-	}
-	s.mu.RUnlock()
-	sortSeqs(seqs)
-	out := make([]event.Instance, len(seqs))
-	for i, seq := range seqs {
-		out[i] = *v.at(seq)
-	}
-	return out
-}
-
-// ScanRegion is the unindexed equivalent of QueryRegion (E9 experiment /
-// testing oracle). It scans the published view without locking.
+// ScanRegion returns instances whose estimated occurrence location is
+// Joint with the region, in arrival order. It is the unindexed
+// reference for QueryST's grid path (E9 experiment / testing oracle).
+// It scans the published view without locking.
 func (s *Store) ScanRegion(region spatial.Location) []event.Instance {
 	v := s.loadView()
 	var out []event.Instance

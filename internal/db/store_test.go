@@ -72,27 +72,36 @@ func TestQueryTime(t *testing.T) {
 	_ = s.Log(inst("M", "E", 3, timemodel.MustBetween(90, 120), spatial.AtPoint(0, 0)))
 	_ = s.Log(inst("M", "other", 4, timemodel.At(55), spatial.AtPoint(0, 0)))
 
-	got := s.QueryTime("E", 0, 200)
+	query := func(eventID string, from, to timemodel.Tick) []event.Instance {
+		t.Helper()
+		res, err := s.QueryST(QuerySpec{Event: eventID, Window: &TimeWindow{From: from, To: to}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Instances
+	}
+	got := query("E", 0, 200)
 	if len(got) != 3 {
 		t.Fatalf("all = %d, want 3", len(got))
 	}
-	if got[0].Occ.Start() != 10 || got[1].Occ.Start() != 50 || got[2].Occ.Start() != 90 {
+	// Pages come in arrival order, whatever the occurrence order.
+	if got[0].Occ.Start() != 50 || got[1].Occ.Start() != 10 || got[2].Occ.Start() != 90 {
 		t.Fatalf("order wrong: %v %v %v", got[0].Occ, got[1].Occ, got[2].Occ)
 	}
 	// Range intersecting only the interval [50,60].
-	got = s.QueryTime("E", 55, 70)
+	got = query("E", 55, 70)
 	if len(got) != 1 || got[0].Seq != 1 {
 		t.Fatalf("range query = %+v", got)
 	}
 	// Empty range.
-	if got := s.QueryTime("E", 200, 100); got != nil {
+	if got := query("E", 200, 100); len(got) != 0 {
 		t.Fatal("inverted range should be empty")
 	}
-	if got := s.QueryTime("E", 61, 89); len(got) != 0 {
+	if got := query("E", 61, 89); len(got) != 0 {
 		t.Fatalf("gap query = %d", len(got))
 	}
 	// Empty event id scans everything.
-	if got := s.QueryTime("", 0, 200); len(got) != 4 {
+	if got := query("", 0, 200); len(got) != 4 {
 		t.Fatalf("scan-all = %d, want 4", len(got))
 	}
 }
@@ -109,7 +118,11 @@ func TestQueryTimeMatchesScan(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		from := timemodel.Tick(rng.Intn(1000))
 		to := from + timemodel.Tick(rng.Intn(200))
-		a := s.QueryTime("E", from, to)
+		res, err := s.QueryST(QuerySpec{Event: "E", Window: &TimeWindow{From: from, To: to}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := res.Instances
 		b := s.ScanTime("E", from, to)
 		if len(a) != len(b) {
 			t.Fatalf("trial %d: index %d != scan %d", trial, len(a), len(b))
@@ -145,7 +158,11 @@ func TestQueryRegionMatchesScan(t *testing.T) {
 			t.Fatal(err)
 		}
 		region := spatial.InField(f)
-		a := s.QueryRegion(region)
+		res, err := s.QueryST(QuerySpec{Region: &region})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a := res.Instances
 		b := s.ScanRegion(region)
 		if len(a) != len(b) {
 			t.Fatalf("trial %d: index %d != scan %d", trial, len(a), len(b))
@@ -239,7 +256,10 @@ func TestConcurrentLogAndQuery(t *testing.T) {
 					t.Errorf("log: %v", err)
 					return
 				}
-				s.QueryTime("E", 0, timemodel.Tick(i))
+				if _, err := s.QueryST(QuerySpec{Event: "E", Window: &TimeWindow{From: 0, To: timemodel.Tick(i)}}); err != nil {
+					t.Errorf("query: %v", err)
+					return
+				}
 			}
 		}(g)
 	}

@@ -37,7 +37,7 @@ func tieredFeed(n int) []event.Instance {
 // tieredStore builds a store with a cold tier and a tight hot window,
 // feeds it ins, and flushes the evicted backlog so nothing sits
 // chunk-resident between the tiers unless keepBacklog.
-func tieredStore(t *testing.T, ins []event.Instance, ret Retention, segRet segment.Retention, flush bool) *Store {
+func tieredStore(t testing.TB, ins []event.Instance, ret Retention, segRet segment.Retention, flush bool) *Store {
 	t.Helper()
 	s, err := New(16)
 	if err != nil {
@@ -201,15 +201,6 @@ func TestTieredTierSelection(t *testing.T) {
 	}
 	if cold.Seqs[len(cold.Seqs)-1]+1 != hot.Seqs[0] {
 		t.Fatalf("cold ends at %d, hot starts at %d — tiers must abut", cold.Seqs[len(cold.Seqs)-1], hot.Seqs[0])
-	}
-
-	// A legacy Query sees exactly the hot tier (pre-tiered behavior).
-	legacy, err := s.QueryST(Query{}.Spec())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.Seqs, hot.Seqs) {
-		t.Fatalf("legacy Query diverges from TierHot")
 	}
 }
 

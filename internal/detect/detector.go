@@ -207,7 +207,8 @@ type Detector struct {
 	planNote    string         // why the planner is off
 	evalEnts    []event.Entity // scratch slot binding
 	confScratch []float64
-	roleScratch []string // scratch fed-role names for Offer
+	roleScratch []string         // scratch fed-role names for Offer
+	attrScratch []event.AttrPair // scratch attribute list for emit
 
 	probed      atomic.Uint64
 	pruned      atomic.Uint64
@@ -614,7 +615,7 @@ func (d *Detector) emit(b boundSet, now timemodel.Tick, genLoc spatial.Location,
 
 	occ := d.estimateTime(times)
 	loc := d.estimateLoc(locs)
-	attrs := mergeAttrs(b.ents, d.sortedSlots)
+	attrs := d.mergeAttrs(b.ents)
 	conf := d.spec.Confidence.Combine(b.confs) * d.spec.BaseConfidence
 	if conf > 1 {
 		conf = 1
@@ -680,32 +681,18 @@ func (d *Detector) estimateLoc(locs []spatial.Location) spatial.Location {
 // mergeAttrs averages each attribute across the bound entities exposing
 // it — the observer's estimate of the event attributes V. Entities are
 // visited in sorted-role order.
-func mergeAttrs(ents []event.Entity, sortedSlots []int) event.Attrs {
+func (d *Detector) mergeAttrs(ents []event.Entity) event.Attrs {
 	sums := make(map[string]float64)
 	counts := make(map[string]int)
-	for _, s := range sortedSlots {
+	for _, s := range d.sortedSlots {
 		ent := ents[s]
 		if ent == nil {
 			continue
 		}
-		// Entities expose attributes only by name lookup; pull the known
-		// names via the typed structs.
-		switch v := ent.(type) {
-		case event.Observation:
-			for k, val := range v.Attrs {
-				sums[k] += val
-				counts[k]++
-			}
-		case event.Instance:
-			for k, val := range v.Attrs {
-				sums[k] += val
-				counts[k]++
-			}
-		case event.PhysicalEvent:
-			for k, val := range v.Attrs {
-				sums[k] += val
-				counts[k]++
-			}
+		d.attrScratch = ent.AppendAttrs(d.attrScratch[:0])
+		for _, a := range d.attrScratch {
+			sums[a.Name] += a.Value
+			counts[a.Name]++
 		}
 	}
 	if len(sums) == 0 {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"github.com/stcps/stcps/internal/condition"
@@ -120,6 +121,55 @@ func TestPunctualSingleRole(t *testing.T) {
 	// Unknown source is ignored.
 	if out := d.Offer("hum", hot, 1, 23, genLoc); len(out) != 0 {
 		t.Fatal("unknown source produced instances")
+	}
+}
+
+// TestEmitAttrsIndependentOfEntityForm: an emitted instance carries the
+// same attributes whether its input reached the detector as a value, a
+// pointer, or a zero-copy wire view.
+func TestEmitAttrsIndependentOfEntityForm(t *testing.T) {
+	spec := Spec{
+		EventID: "S.hot",
+		Layer:   event.LayerSensor,
+		Roles:   []RoleSpec{{Name: "x", Source: "temp"}},
+		Cond:    condition.MustParse("x.temp > 30"),
+	}
+	genLoc := spatial.AtPoint(0, 0)
+	emitOne := func(ent event.Entity) event.Instance {
+		t.Helper()
+		out := mustDetector(t, spec).Offer("temp", ent, 1, 21, genLoc)
+		if len(out) != 1 {
+			t.Fatalf("%T produced %d instances, want 1", ent, len(out))
+		}
+		return out[0]
+	}
+
+	o := mkObs("MT1", 2, 20, spatial.Pt(1, 1), event.Attrs{"temp": 35, "hum": 0.5})
+	var view event.ObservationView
+	if err := event.DecodeObservationView(event.AppendObservationWire(nil, &o), &view, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := emitOne(o)
+	if !reflect.DeepEqual(want.Attrs, o.Attrs) {
+		t.Fatalf("value observation emitted attrs %v, want %v", want.Attrs, o.Attrs)
+	}
+	for _, ent := range []event.Entity{&o, &view} {
+		if got := emitOne(ent); !reflect.DeepEqual(got, want) {
+			t.Errorf("%T emitted %+v, want %+v", ent, got, want)
+		}
+	}
+
+	in := event.Instance{
+		Layer: event.LayerSensor, Observer: "MT1", Event: "S.raw", Seq: 1,
+		Gen: 21, GenLoc: genLoc, Occ: timemodel.At(20), Loc: spatial.AtPoint(1, 1),
+		Attrs: event.Attrs{"temp": 35, "hum": 0.5}, Confidence: 1,
+	}
+	want = emitOne(in)
+	if !reflect.DeepEqual(want.Attrs, in.Attrs) {
+		t.Fatalf("value instance emitted attrs %v, want %v", want.Attrs, in.Attrs)
+	}
+	if got := emitOne(&in); !reflect.DeepEqual(got, want) {
+		t.Errorf("*Instance emitted %+v, want %+v", got, want)
 	}
 }
 

@@ -757,6 +757,18 @@ func (v *ObservationView) Attr(name string) (float64, bool) {
 	return 0, false
 }
 
+// AppendAttrs implements Entity by decoding the raw attribute section.
+func (v *ObservationView) AppendAttrs(dst []AttrPair) []AttrPair {
+	c := wireCursor{b: v.attrs}
+	n, _ := c.uvarint()
+	for i := uint64(0); i < n; i++ {
+		nb, _ := c.stringBytes()
+		val, _ := c.f64()
+		dst = append(dst, AttrPair{Name: string(nb), Value: val})
+	}
+	return dst
+}
+
 // Materialize converts the view into a self-contained Observation that
 // no longer references the decode buffer.
 func (v *ObservationView) Materialize() Observation {

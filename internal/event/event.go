@@ -172,6 +172,23 @@ type Entity interface {
 	OccLoc() spatial.Location
 	// Attr returns a named attribute value and whether it is present.
 	Attr(name string) (float64, bool)
+	// AppendAttrs appends every attribute to dst, in no particular
+	// order, and returns the extended slice.
+	AppendAttrs(dst []AttrPair) []AttrPair
+}
+
+// AttrPair is one named attribute value, as Entity.AppendAttrs lists it.
+type AttrPair struct {
+	Name  string
+	Value float64
+}
+
+// appendTo appends the attribute set to dst as pairs.
+func (a Attrs) appendTo(dst []AttrPair) []AttrPair {
+	for k, v := range a {
+		dst = append(dst, AttrPair{Name: k, Value: v})
+	}
+	return dst
 }
 
 // PhysicalEvent is a ground-truth occurrence in the physical world,
@@ -203,6 +220,9 @@ func (p PhysicalEvent) Attr(name string) (float64, bool) {
 	v, ok := p.Attrs[name]
 	return v, ok
 }
+
+// AppendAttrs implements Entity.
+func (p PhysicalEvent) AppendAttrs(dst []AttrPair) []AttrPair { return p.Attrs.appendTo(dst) }
 
 // TemporalClass returns the punctual/interval classification of the event.
 func (p PhysicalEvent) TemporalClass() TemporalClass { return TemporalClassOf(p.Time) }

@@ -122,6 +122,9 @@ func (in Instance) Attr(name string) (float64, bool) {
 	return v, ok
 }
 
+// AppendAttrs implements Entity.
+func (in Instance) AppendAttrs(dst []AttrPair) []AttrPair { return in.Attrs.appendTo(dst) }
+
 // TemporalClass returns the punctual/interval classification of the
 // estimated occurrence.
 func (in Instance) TemporalClass() TemporalClass { return TemporalClassOf(in.Occ) }

@@ -45,4 +45,7 @@ func (o Observation) Attr(name string) (float64, bool) {
 	return v, ok
 }
 
+// AppendAttrs implements Entity.
+func (o Observation) AppendAttrs(dst []AttrPair) []AttrPair { return o.Attrs.appendTo(dst) }
+
 var _ Entity = Observation{}

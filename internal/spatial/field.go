@@ -55,11 +55,18 @@ func boundsOf(ring []Point) rect {
 }
 
 // NewField constructs a field from a vertex ring. The ring must have at
-// least three vertices, enclose a non-zero area, and must not
-// self-intersect. The input slice is copied.
+// least three vertices, all finite, enclose a non-zero area, and must
+// not self-intersect. The input slice is copied.
 func NewField(ring []Point) (Field, error) {
 	if len(ring) < 3 {
 		return Field{}, fmt.Errorf("%d vertices: %w", len(ring), ErrDegenerateField)
+	}
+	for _, p := range ring {
+		// A NaN area passes the zero-area check below, and an infinite
+		// vertex breaks every bounding-box and grid computation.
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return Field{}, fmt.Errorf("non-finite vertex (%g, %g): %w", p.X, p.Y, ErrDegenerateField)
+		}
 	}
 	own := make([]Point, len(ring))
 	copy(own, ring)

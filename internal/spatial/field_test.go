@@ -20,6 +20,9 @@ func TestNewFieldValidation(t *testing.T) {
 		{"too few vertices", []Point{Pt(0, 0), Pt(1, 1)}, ErrDegenerateField},
 		{"collinear", []Point{Pt(0, 0), Pt(1, 1), Pt(2, 2)}, ErrDegenerateField},
 		{"bowtie", []Point{Pt(0, 0), Pt(2, 2), Pt(2, 0), Pt(0, 2)}, ErrSelfIntersecting},
+		{"NaN vertex", []Point{Pt(0, 0), Pt(math.NaN(), 0), Pt(1, 2)}, ErrDegenerateField},
+		{"infinite vertex", []Point{Pt(0, 0), Pt(math.Inf(1), 0), Pt(math.Inf(1), 5), Pt(0, 5)}, ErrDegenerateField},
+		{"negative infinite vertex", []Point{Pt(0, 0), Pt(2, 0), Pt(1, math.Inf(-1))}, ErrDegenerateField},
 		{"valid triangle", []Point{Pt(0, 0), Pt(2, 0), Pt(1, 2)}, nil},
 	}
 	for _, tt := range tests {
